@@ -19,7 +19,10 @@ import (
 //     message formatting to a cold helper);
 //   - function literals (closures capture and escape).
 //
-// Struct and array literals stay on the stack and are allowed.
+// Struct and array literals stay on the stack and are allowed. It also
+// reports math.Min and math.Max: they allocate nothing, but on amd64 they
+// call a stub the compiler does not inline, while the builtin min and max
+// have the same NaN and ±0 semantics and are inlined.
 var Hotpath = &Analyzer{
 	Name: "hotpath",
 	Doc:  "forbid allocating constructs in //cloudmedia:hotpath functions",
@@ -92,9 +95,17 @@ func checkHotCall(pass *Pass, call *ast.CallExpr, name string, fresh map[types.O
 		if !ok {
 			return
 		}
-		if pkgName, ok := pass.TypesInfo.Uses[ident].(*types.PkgName); ok && pkgName.Imported().Path() == "fmt" {
+		pkgName, ok := pass.TypesInfo.Uses[ident].(*types.PkgName)
+		if !ok {
+			return
+		}
+		switch path := pkgName.Imported().Path(); {
+		case path == "fmt":
 			pass.Reportf(call.Pos(),
 				"fmt.%s in hot path %s allocates: delegate formatting to a cold helper", fun.Sel.Name, name)
+		case path == "math" && (fun.Sel.Name == "Min" || fun.Sel.Name == "Max"):
+			pass.Reportf(call.Pos(),
+				"math.%s in hot path %s: use builtin min/max: math.%s is not inlined on amd64", fun.Sel.Name, name, fun.Sel.Name)
 		}
 	}
 }

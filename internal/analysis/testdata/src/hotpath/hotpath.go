@@ -2,7 +2,10 @@
 // are forbidden only inside functions annotated //cloudmedia:hotpath.
 package hotpath
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 type point struct{ x, y int }
 
@@ -50,6 +53,25 @@ func reuses(dst []int, vals []int) []int {
 func stackValues() point {
 	coords := [2]int{3, 4}
 	return point{x: coords[0], y: coords[1]}
+}
+
+//cloudmedia:hotpath
+func clamps(x, lo, hi float64) float64 {
+	x = math.Max(x, lo)    // want "use builtin min/max: math.Max is not inlined"
+	return math.Min(x, hi) // want "use builtin min/max: math.Min is not inlined"
+}
+
+// clampsBuiltin is the sanctioned form: the builtins are inlined, and
+// other math functions are none of the analyzer's business.
+//
+//cloudmedia:hotpath
+func clampsBuiltin(x, lo, hi float64) float64 {
+	return math.Abs(min(max(x, lo), hi))
+}
+
+// coldMin is unannotated: math.Min is fine off the hot path.
+func coldMin(x, y float64) float64 {
+	return math.Min(x, y)
 }
 
 // coldHelper is unannotated: it may allocate and format freely.

@@ -2,7 +2,6 @@ package fluid
 
 import (
 	"fmt"
-	"math"
 
 	"cloudmedia/internal/queueing"
 	"cloudmedia/internal/sim"
@@ -64,7 +63,7 @@ type Backend struct {
 	inWait []float64
 	inPlay []float64
 	demand []float64
-	order  []int
+	order  []int // rarest-first chunk order, kept from step to step
 
 	// Per-channel scalars (length C).
 	cloudBytesServed []float64
@@ -166,6 +165,9 @@ func New(cfg Config) (*Backend, error) {
 	b.inPlay = make([]float64, C*J)
 	b.demand = make([]float64, C*J)
 	b.order = make([]int, C*J)
+	for i := range b.order {
+		b.order[i] = i % J // each channel's peer order starts as 0…J−1
+	}
 	b.cloudBytesServed = make([]float64, C)
 	b.smooth = make([]float64, C)
 	b.capTotal = make([]float64, C)
@@ -515,7 +517,7 @@ func (b *Backend) stepChannel(c int, t, dt, lambda float64) {
 			drained = queue
 		}
 		bytes := drained * B
-		peerShare := math.Min(bytes, peerCap[j]*dt)
+		peerShare := min(bytes, peerCap[j]*dt)
 		served += bytes - peerShare
 
 		waiting[j] = queue - drained
@@ -595,23 +597,23 @@ func (b *Backend) allocatePeers(c int) {
 			take := 0.0
 			if owners[j] > 0 && total > 0 {
 				share := budget * demand[j] / total
-				take = math.Min(demand[j], math.Min(share, owners[j]*b.meanUplink))
+				take = min(demand[j], share, owners[j]*b.meanUplink)
 			}
 			peerCap[j] = take
 		}
 		return
 	}
 
-	for j := range order {
-		order[j] = j
-	}
-	// Allocation-free stable insertion sort: this runs every integration
-	// step, so it must stay off the garbage collector (mirrors
-	// sim.sortByOwners).
+	// Allocation-free insertion sort by the total key (owners, chunk
+	// index): this runs every integration step, so it must stay off the
+	// garbage collector. The key is total, so the result does not depend
+	// on the starting permutation and equals a stable sort of the identity
+	// by owners (mirrors sim.sortByOwners). Starting from the previous
+	// step's order, which copy counts rarely change, makes the sort O(J).
 	for i := 1; i < J; i++ {
 		v := order[i]
 		k := i - 1
-		for k >= 0 && owners[order[k]] > owners[v] {
+		for k >= 0 && (owners[order[k]] > owners[v] || owners[order[k]] == owners[v] && order[k] > v) {
 			order[k+1] = order[k]
 			k--
 		}
@@ -620,7 +622,7 @@ func (b *Backend) allocatePeers(c int) {
 	for _, j := range order {
 		take := 0.0
 		if owners[j] > 0 && budget > 0 {
-			take = math.Min(demand[j], math.Min(budget, owners[j]*b.meanUplink))
+			take = min(demand[j], budget, owners[j]*b.meanUplink)
 		}
 		peerCap[j] = take
 		budget -= take

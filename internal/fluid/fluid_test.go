@@ -2,6 +2,8 @@ package fluid
 
 import (
 	"math"
+	"slices"
+	"sort"
 	"testing"
 
 	"cloudmedia/internal/sim"
@@ -286,5 +288,73 @@ func TestScheduleBarriers(t *testing.T) {
 	b.RunUntil(350)
 	if len(fires) != 3 {
 		t.Fatalf("fired %d times in 350 s with period 100, want 3", len(fires))
+	}
+}
+
+// TestAllocatePeersOrderIndependent: allocatePeers keeps its rarest-first
+// order from step to step, so its result must not depend on the order it
+// starts from. Owner counts with ties (all zero, runs of equal counts,
+// ±0) must give the permutation a stable sort of the identity gives, and
+// bit-equal peer capacity, from the identity and from a scrambled start.
+func TestAllocatePeersOrderIndependent(t *testing.T) {
+	const J = 12
+	chCfg := testutil.ChannelConfig(J, 10)
+	b, err := New(Config{Sim: sim.Config{
+		Mode:     sim.P2P,
+		Channel:  chCfg,
+		Workload: testutil.FlatWorkload(2, 0.2, 120),
+		Transfer: testutil.Sequential(t, J, 0.9),
+		Seed:     1,
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const c = 1 // the second channel, so the per-channel offset is exercised
+	base := c * J
+	negZero := math.Copysign(0, -1)
+	cases := map[string][J]float64{
+		"all zero": {},
+		"runs":     {3, 3, 0, 5, 3, 0, 5, 5, 1, 0, 3, 1},
+		"signed 0": {2, negZero, 0, 2, negZero, 1, 0, 1, 2, 0, negZero, 1},
+	}
+	scrambled := []int{7, 2, 11, 0, 5, 9, 1, 10, 3, 8, 6, 4}
+	identity := make([]int, J)
+	for j := range identity {
+		identity[j] = j
+	}
+	for name, owners := range cases {
+		for j := 0; j < J; j++ {
+			b.owners[base+j] = owners[j]
+			b.playing[base+j] = 1
+			b.waiting[base+j] = 0.05 * float64(j%4)
+			b.inWait[base+j] = 0.01 * float64(j%3)
+		}
+		want := slices.Clone(identity)
+		sort.SliceStable(want, func(x, y int) bool { return owners[want[x]] < owners[want[y]] })
+
+		run := func(start []int) ([]uint64, []int) {
+			copy(b.order[base:base+J], start)
+			b.allocatePeers(c)
+			capBits := make([]uint64, J)
+			for j := range capBits {
+				capBits[j] = math.Float64bits(b.peerCap[base+j])
+			}
+			return capBits, append([]int(nil), b.order[base:base+J]...)
+		}
+		capID, orderID := run(identity)
+		capScr, orderScr := run(scrambled)
+		if !slices.Equal(orderID, want) || !slices.Equal(orderScr, want) {
+			t.Errorf("%s: order from identity %v, from scrambled %v, want %v", name, orderID, orderScr, want)
+		}
+		if !slices.Equal(capID, capScr) {
+			t.Errorf("%s: peer capacity depends on the starting order", name)
+		}
+		var granted bool
+		for _, bits := range capID {
+			granted = granted || math.Float64frombits(bits) > 0
+		}
+		if granted == (name == "all zero") {
+			t.Errorf("%s: peer capacity granted = %v", name, granted)
+		}
 	}
 }

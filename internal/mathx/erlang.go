@@ -153,46 +153,69 @@ func (q MMm) emptyProbability() float64 {
 	return 1 / sum
 }
 
-// MinServersForSojourn returns the smallest server count m such that the
-// M/M/m queue with rates (λ, µ) is stable and has mean sojourn time at most
-// target. This is the paper's iterative sizing rule from Sec. IV-B:
-// start at m=1 and grow m until E[n] ≤ λ·T₀ (equivalently E[T] ≤ T₀ by
-// Little's law). maxServers bounds the search; if the target is unreachable
-// within the bound an error is returned.
-func MinServersForSojourn(lambda, mu, target float64, maxServers int) (int, error) {
+// MinServersForSojourn returns the M/M/m queue with the smallest server
+// count m such that the queue with rates (λ, µ) is stable and has mean
+// sojourn time at most target. This is the paper's iterative sizing rule
+// from Sec. IV-B: start at the smallest stable m and grow m until
+// E[n] ≤ λ·T₀ (equivalently E[T] ≤ T₀ by Little's law). maxServers bounds
+// the search; if the target is unreachable within the bound an error is
+// returned.
+//
+// The search runs the Erlang-B recurrence once: it warms B up to the first
+// candidate and then advances it one step per candidate, instead of
+// rebuilding B(m) from k=1 for each m. Each step is the same float
+// operation ErlangB performs, and each candidate is assembled with
+// NewMMm's own expressions, so the returned queue is bit-identical to
+// NewMMm(λ, µ, m).
+func MinServersForSojourn(lambda, mu, target float64, maxServers int) (MMm, error) {
 	switch {
+	case !isFinite(lambda) || !isFinite(mu) || !isFinite(target):
+		return MMm{}, fmt.Errorf("mathx: non-finite sizing input λ=%v µ=%v target=%v", lambda, mu, target)
 	case lambda < 0:
-		return 0, fmt.Errorf("mathx: negative arrival rate %v", lambda)
+		return MMm{}, fmt.Errorf("mathx: negative arrival rate %v", lambda)
 	case mu <= 0:
-		return 0, fmt.Errorf("mathx: non-positive service rate %v", mu)
+		return MMm{}, fmt.Errorf("mathx: non-positive service rate %v", mu)
 	case target <= 0:
-		return 0, fmt.Errorf("mathx: non-positive sojourn target %v", target)
+		return MMm{}, fmt.Errorf("mathx: non-positive sojourn target %v", target)
 	case maxServers <= 0:
-		return 0, fmt.Errorf("mathx: non-positive server bound %d", maxServers)
-	}
-	if lambda == 0 {
-		// A single server serves the (nonexistent) load; sojourn is 1/µ.
-		if 1/mu <= target {
-			return 1, nil
-		}
-		return 0, fmt.Errorf("mathx: service time 1/µ=%v exceeds target %v", 1/mu, target)
+		return MMm{}, fmt.Errorf("mathx: non-positive server bound %d", maxServers)
 	}
 	if 1/mu > target {
 		// Even with zero waiting the service time alone misses the target.
-		return 0, fmt.Errorf("mathx: service time 1/µ=%v exceeds target %v", 1/mu, target)
+		return MMm{}, fmt.Errorf("mathx: service time 1/µ=%v exceeds target %v", 1/mu, target)
 	}
-	start := int(math.Floor(lambda/mu)) + 1 // smallest stable m
-	if start < 1 {
-		start = 1
+	if lambda == 0 {
+		// A single server serves the (nonexistent) load; sojourn is 1/µ.
+		return NewMMm(0, mu, 1)
 	}
+	a := lambda / mu
+	if a >= float64(maxServers) {
+		// The smallest stable m, ⌊a⌋+1, already exceeds the bound: fail
+		// before the warm-up, which would cost O(a).
+		return MMm{}, errNoServerCount(lambda, mu, target, maxServers)
+	}
+	start := int(math.Floor(a)) + 1 // smallest stable m
+	b := ErlangB(start-1, a)
 	for m := start; m <= maxServers; m++ {
-		q, err := NewMMm(lambda, mu, m)
-		if err != nil {
-			continue
+		mm := float64(m)
+		b = a * b / (mm + a*b) // B(m) from B(m−1), as in ErlangB
+		if a >= mm {
+			continue // unstable, as NewMMm would report
 		}
+		delayP := 0.0 // ErlangC(m, a)
+		if a > 0 {
+			delayP = mm * b / (mm - a*(1-b))
+		}
+		q := MMm{Lambda: lambda, Mu: mu, Servers: m, offered: a, delayP: delayP}
 		if q.MeanSojourn() <= target {
-			return m, nil
+			return q, nil
 		}
 	}
-	return 0, fmt.Errorf("mathx: no m ≤ %d meets sojourn target %v (λ=%v µ=%v)", maxServers, target, lambda, mu)
+	return MMm{}, errNoServerCount(lambda, mu, target, maxServers)
 }
+
+func errNoServerCount(lambda, mu, target float64, maxServers int) error {
+	return fmt.Errorf("mathx: no m ≤ %d meets sojourn target %v (λ=%v µ=%v)", maxServers, target, lambda, mu)
+}
+
+func isFinite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }

@@ -122,16 +122,13 @@ func TestMMmMeanJobsMatchesStateSum(t *testing.T) {
 
 func TestMinServersForSojourn(t *testing.T) {
 	// λ=10/s, µ=1/s: need at least 11 servers for stability.
-	m, err := MinServersForSojourn(10, 1, 1.5, 1000)
+	q, err := MinServersForSojourn(10, 1, 1.5, 1000)
 	if err != nil {
 		t.Fatalf("MinServersForSojourn: %v", err)
 	}
+	m := q.Servers
 	if m < 11 {
 		t.Errorf("m = %d, want at least 11 (stability)", m)
-	}
-	q, err := NewMMm(10, 1, m)
-	if err != nil {
-		t.Fatalf("NewMMm(%d): %v", m, err)
 	}
 	if q.MeanSojourn() > 1.5 {
 		t.Errorf("sojourn %v exceeds target at m=%d", q.MeanSojourn(), m)
@@ -146,12 +143,15 @@ func TestMinServersForSojourn(t *testing.T) {
 }
 
 func TestMinServersForSojournZeroLoad(t *testing.T) {
-	m, err := MinServersForSojourn(0, 1, 2, 10)
+	q, err := MinServersForSojourn(0, 1, 2, 10)
 	if err != nil {
 		t.Fatalf("MinServersForSojourn: %v", err)
 	}
-	if m != 1 {
-		t.Errorf("m = %d, want 1 for zero load", m)
+	if q.Servers != 1 {
+		t.Errorf("m = %d, want 1 for zero load", q.Servers)
+	}
+	if q.MeanSojourn() != 1 || q.MeanJobs() != 0 {
+		t.Errorf("zero load: E[T]=%v E[n]=%v, want 1/µ=1 and 0", q.MeanSojourn(), q.MeanJobs())
 	}
 }
 
@@ -166,6 +166,94 @@ func TestMinServersForSojournUnreachable(t *testing.T) {
 	}
 }
 
+func TestMinServersForSojournRejects(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	tests := []struct {
+		name             string
+		lambda, mu, goal float64
+		maxServers       int
+	}{
+		{"NaN λ", nan, 1, 2, 100000},
+		{"+Inf λ", inf, 1, 2, 100000},
+		{"−Inf λ", -inf, 1, 2, 100000},
+		{"NaN µ", 1, nan, 2, 100000},
+		{"+Inf µ", 1, inf, 2, 100000},
+		{"−Inf µ", 1, -inf, 2, 100000},
+		{"NaN target", 1, 1, nan, 100000},
+		{"+Inf target", 1, 1, inf, 100000},
+		{"−Inf target", 1, 1, -inf, 100000},
+		{"negative λ", -1, 1, 2, 100},
+		{"zero µ", 1, 0, 2, 100},
+		{"zero target", 1, 1, 0, 100},
+		{"zero bound", 1, 1, 2, 0},
+		// a = 1e12: the smallest stable m is far past the bound, and the
+		// error must come before an O(a) warm-up of the recurrence.
+		{"start > maxServers", 1e12, 1, 2, 100000},
+		{"a == maxServers", 100, 1, 2, 100},
+	}
+	for _, tc := range tests {
+		if q, err := MinServersForSojourn(tc.lambda, tc.mu, tc.goal, tc.maxServers); err == nil {
+			t.Errorf("%s: got m=%d, want error", tc.name, q.Servers)
+		}
+	}
+}
+
+// minServersReference is the sizing rule written from scratch: every
+// candidate m rebuilds its queue, and Erlang-B, with NewMMm.
+func minServersReference(lambda, mu, target float64, maxServers int) (MMm, bool) {
+	for m := 1; m <= maxServers; m++ {
+		q, err := NewMMm(lambda, mu, m)
+		if err != nil {
+			continue
+		}
+		if q.MeanSojourn() <= target {
+			return q, true
+		}
+	}
+	return MMm{}, false
+}
+
+// TestMinServersForSojournBitIdentical pins the single-pass recurrence to
+// the from-scratch rule: the same m and bit-equal E[n], C(m, a) and E[T],
+// including a < 1 (warm-up from B(0) = 1) and bounds that cut the search
+// off before the target is met.
+func TestMinServersForSojournBitIdentical(t *testing.T) {
+	for _, load := range []float64{0.3, 0.999, 1, 7.5, 99.999, 1e4, 5e4} {
+		for _, mu := range []float64{1.0 / 30, 1, 2.5} {
+			lambda := load * mu
+			a := lambda / mu
+			start := int(math.Floor(a)) + 1
+			for _, slack := range []float64{1, 1.0001, 1.01, 1.5, 4} {
+				target := slack / mu
+				for _, maxServers := range []int{start - 1, start, start + 3, start + 1000} {
+					if maxServers < 1 {
+						continue
+					}
+					want, ok := minServersReference(lambda, mu, target, maxServers)
+					got, err := MinServersForSojourn(lambda, mu, target, maxServers)
+					if (err == nil) != ok {
+						t.Errorf("λ=%v µ=%v T=%v max=%d: err=%v, reference found=%v",
+							lambda, mu, target, maxServers, err, ok)
+						continue
+					}
+					if !ok {
+						continue
+					}
+					if got.Servers != want.Servers ||
+						math.Float64bits(got.MeanJobs()) != math.Float64bits(want.MeanJobs()) ||
+						math.Float64bits(got.DelayProbability()) != math.Float64bits(want.DelayProbability()) ||
+						math.Float64bits(got.MeanSojourn()) != math.Float64bits(want.MeanSojourn()) {
+						t.Errorf("λ=%v µ=%v T=%v max=%d: got m=%d E[n]=%v C=%v E[T]=%v, want m=%d E[n]=%v C=%v E[T]=%v",
+							lambda, mu, target, maxServers,
+							got.Servers, got.MeanJobs(), got.DelayProbability(), got.MeanSojourn(),
+							want.Servers, want.MeanJobs(), want.DelayProbability(), want.MeanSojourn())
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestMinServersProperty: the returned m is always stable, meets the
 // target, and is minimal.
 func TestMinServersProperty(t *testing.T) {
@@ -175,14 +263,11 @@ func TestMinServersProperty(t *testing.T) {
 		lambda := 0.5 + r.Float64()*30
 		mu := 0.5 + r.Float64()*3
 		target := 1/mu + r.Float64()*5 // always reachable
-		m, err := MinServersForSojourn(lambda, mu, target, 100000)
-		if err != nil {
-			return false
-		}
-		q, err := NewMMm(lambda, mu, m)
+		q, err := MinServersForSojourn(lambda, mu, target, 100000)
 		if err != nil || q.MeanSojourn() > target+1e-9 {
 			return false
 		}
+		m := q.Servers
 		if m == 1 {
 			return true
 		}

@@ -1,6 +1,7 @@
 package queueing
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -156,6 +157,9 @@ func TestSolvePaperScenario(t *testing.T) {
 		if q.MeanSojourn() > cfg.ChunkSeconds+1e-9 {
 			t.Errorf("chunk %d sojourn %v exceeds T₀", i, q.MeanSojourn())
 		}
+		if math.Float64bits(eq.MeanUsers[i]) != math.Float64bits(q.MeanJobs()) {
+			t.Errorf("chunk %d MeanUsers %v, want NewMMm's E[n] %v bit for bit", i, eq.MeanUsers[i], q.MeanJobs())
+		}
 		if eq.Capacity[i] != cfg.VMBandwidth*float64(eq.Servers[i]) {
 			t.Errorf("chunk %d capacity inconsistent", i)
 		}
@@ -276,6 +280,9 @@ func TestSolveRandomMatrixProperty(t *testing.T) {
 			if err != nil || q.MeanSojourn() > cfg.ChunkSeconds+1e-9 {
 				return false
 			}
+			if math.Float64bits(eq.MeanUsers[i]) != math.Float64bits(q.MeanJobs()) {
+				return false
+			}
 		}
 		return true
 	}
@@ -349,6 +356,9 @@ func TestFinerSlotsNeverIncreaseCapacity(t *testing.T) {
 		}
 		if q.MeanSojourn() > fine.ChunkSeconds+1e-9 {
 			t.Errorf("chunk %d sojourn %v exceeds T₀ with slots", i, q.MeanSojourn())
+		}
+		if math.Float64bits(slotted.MeanUsers[i]) != math.Float64bits(q.MeanJobs()) {
+			t.Errorf("chunk %d MeanUsers %v, want NewMMm's E[n] %v bit for bit", i, slotted.MeanUsers[i], q.MeanJobs())
 		}
 	}
 }

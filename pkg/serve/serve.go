@@ -120,6 +120,10 @@ func Run(ctx context.Context, sc simulate.Scenario, opts ...Option) (*Report, er
 	}
 
 	metrics := iserve.NewMetrics()
+	// Publish the configured pacing before the server can answer a
+	// scrape: the pacer's first ObserveClock comes only after the engine
+	// is built and has reached its first barrier.
+	metrics.ObserveClock(0, 0, timeScale)
 	rolling, err := iserve.NewRolling(0, sc.SampleSeconds)
 	if err != nil {
 		return nil, err
