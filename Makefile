@@ -16,10 +16,11 @@ bench:
 	./scripts/bench.sh BENCH_PR10.json
 	go run ./scripts/benchgate BENCH_PR9.json BENCH_PR10.json
 
-# Profile the 10M-viewer fluid day under pprof: cpu.pprof and mem.pprof
-# land in the repo root; inspect with `go tool pprof cpu.pprof`.
+# Profile the 100M-viewer fluid day (the benchmark's fluid-100m workload)
+# under pprof: cpu.pprof and mem.pprof land in the repo root; inspect with
+# `go tool pprof cpu.pprof`.
 profile:
-	go test -run '^$$' -bench 'BenchmarkFluid10MViewers/pool' -benchtime 1x \
+	go test -run '^$$' -bench 'BenchmarkFluid100MViewers/pool' -benchtime 1x \
 	    -cpuprofile cpu.pprof -memprofile mem.pprof .
 	@echo "wrote cpu.pprof and mem.pprof; open with: go tool pprof cpu.pprof"
 

@@ -242,6 +242,31 @@ func BenchmarkQueueingSolve(b *testing.B) {
 	}
 }
 
+// BenchmarkQueueingSolve100M measures one fluid-100m-scale channel's
+// solve + sizing: 8 chunks of 75 s at fifth-of-a-VM slots, as in the
+// fluid days, with offered loads a ≈ 10⁴ per chunk queue. At these loads
+// sizing is dominated by the Erlang-B warm-up to B(⌊a⌋), which the
+// paper-scale BenchmarkQueueingSolve (a < 1) never exercises.
+func BenchmarkQueueingSolve100M(b *testing.B) {
+	cfg := queueing.Config{
+		Chunks:          8,
+		PlaybackRate:    50e3,
+		ChunkSeconds:    75,
+		VMBandwidth:     cloud.DefaultVMBandwidth,
+		EntryFirstChunk: 0.7,
+		SlotsPerVM:      5,
+	}
+	p, err := viewing.PaperDefault(cfg.Chunks)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < b.N; i++ {
+		if _, err := queueing.Solve(cfg, p, 1000, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkP2PSolve measures the full peer-supply pipeline (Proposition 1
 // solves + Eqn. 5) for one channel.
 func BenchmarkP2PSolve(b *testing.B) {

@@ -1,9 +1,11 @@
 package mathx
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // ErrUnstable is returned when an M/M/m queue has offered load a = λ/µ ≥ m,
@@ -161,42 +163,161 @@ func (q MMm) emptyProbability() float64 {
 // the search; if the target is unreachable within the bound an error is
 // returned.
 //
-// The search runs the Erlang-B recurrence once: it warms B up to the first
-// candidate and then advances it one step per candidate, instead of
-// rebuilding B(m) from k=1 for each m. Each step is the same float
-// operation ErlangB performs, and each candidate is assembled with
-// NewMMm's own expressions, so the returned queue is bit-identical to
-// NewMMm(λ, µ, m).
+// It is the one-lane call of MinServersForSojournLanes, whose doc
+// explains why the returned queue is bit-identical to NewMMm(λ, µ, m).
 func MinServersForSojourn(lambda, mu, target float64, maxServers int) (MMm, error) {
+	lambdas := [1]float64{lambda}
+	var out [1]MMm
+	if _, err := MinServersForSojournLanes(lambdas[:], mu, target, maxServers, out[:]); err != nil {
+		return MMm{}, err
+	}
+	return out[0], nil
+}
+
+// MinServersForSojournLanes sizes one queue per arrival rate in lambdas,
+// all sharing µ, target and maxServers, and writes the queue sized for
+// lambdas[i] to out[i]; out must be as long as lambdas. Every lane gets
+// exactly the queue, or the error, that MinServersForSojourn gives it
+// alone. On error, lane is the index of the first lane that fails, as a
+// loop over the lanes in order would report it; on success it is -1.
+//
+// The search runs the Erlang-B recurrence once per lane: it warms B up
+// to the first candidate, B(⌊a⌋), and then advances it one step per
+// candidate, instead of rebuilding B(m) from k=1 for each m. Each step is
+// the same float operation ErlangB performs, and each candidate is
+// assembled with NewMMm's own expressions, so every returned queue is
+// bit-identical to NewMMm(λ, µ, m).
+//
+// The warm-up is a chain of dependent divisions, O(a) long. Lanes are
+// independent chains, so they warm up in lockstep: one step of every
+// lane still warming, then the next step. Each lane still performs its
+// own operations in its own order, so lockstep changes no float, but
+// the divisions of different lanes overlap in the pipeline instead of
+// each waiting on the one before it.
+//
+// Lanes are validated in order before any warm-up. A lane that fails
+// validation (a non-finite input, λ < 0, µ ≤ 0, a target below 1/µ, or
+// a ≥ maxServers) is never warmed up, so a huge offered load fails fast;
+// only the lanes before it are sized, because one of them may fail
+// first.
+func MinServersForSojournLanes(lambdas []float64, mu, target float64, maxServers int, out []MMm) (lane int, err error) {
+	if len(out) != len(lambdas) {
+		return 0, fmt.Errorf("mathx: %d sizing outputs for %d lanes", len(out), len(lambdas))
+	}
+	valid, invalid := len(lambdas), error(nil)
+	for i, lambda := range lambdas {
+		if invalid = checkSizing(lambda, mu, target, maxServers); invalid != nil {
+			valid = i
+			break
+		}
+	}
+	if i := sizeLanes(lambdas[:valid], mu, target, maxServers, out[:valid]); i >= 0 {
+		return i, errNoServerCount(lambdas[i], mu, target, maxServers)
+	}
+	if invalid != nil {
+		return valid, invalid
+	}
+	return -1, nil
+}
+
+// checkSizing reports why one lane cannot be sized at all, in the order
+// the checks have always run; nil means the lane's search may start.
+func checkSizing(lambda, mu, target float64, maxServers int) error {
 	switch {
 	case !isFinite(lambda) || !isFinite(mu) || !isFinite(target):
-		return MMm{}, fmt.Errorf("mathx: non-finite sizing input λ=%v µ=%v target=%v", lambda, mu, target)
+		return fmt.Errorf("mathx: non-finite sizing input λ=%v µ=%v target=%v", lambda, mu, target)
 	case lambda < 0:
-		return MMm{}, fmt.Errorf("mathx: negative arrival rate %v", lambda)
+		return fmt.Errorf("mathx: negative arrival rate %v", lambda)
 	case mu <= 0:
-		return MMm{}, fmt.Errorf("mathx: non-positive service rate %v", mu)
+		return fmt.Errorf("mathx: non-positive service rate %v", mu)
 	case target <= 0:
-		return MMm{}, fmt.Errorf("mathx: non-positive sojourn target %v", target)
+		return fmt.Errorf("mathx: non-positive sojourn target %v", target)
 	case maxServers <= 0:
-		return MMm{}, fmt.Errorf("mathx: non-positive server bound %d", maxServers)
+		return fmt.Errorf("mathx: non-positive server bound %d", maxServers)
 	}
 	if 1/mu > target {
 		// Even with zero waiting the service time alone misses the target.
-		return MMm{}, fmt.Errorf("mathx: service time 1/µ=%v exceeds target %v", 1/mu, target)
+		return fmt.Errorf("mathx: service time 1/µ=%v exceeds target %v", 1/mu, target)
 	}
-	if lambda == 0 {
-		// A single server serves the (nonexistent) load; sojourn is 1/µ.
-		return NewMMm(0, mu, 1)
-	}
-	a := lambda / mu
-	if a >= float64(maxServers) {
+	if lambda != 0 && lambda/mu >= float64(maxServers) {
 		// The smallest stable m, ⌊a⌋+1, already exceeds the bound: fail
 		// before the warm-up, which would cost O(a).
-		return MMm{}, errNoServerCount(lambda, mu, target, maxServers)
+		return errNoServerCount(lambda, mu, target, maxServers)
 	}
-	start := int(math.Floor(a)) + 1 // smallest stable m
-	b := ErlangB(start-1, a)
-	for m := start; m <= maxServers; m++ {
+	return nil
+}
+
+// sizeLanes is the lockstep kernel of MinServersForSojournLanes over
+// lanes that passed checkSizing. It returns the first lane whose target
+// is unreachable within maxServers, or -1.
+//
+// Until the search, out holds each lane's state: offered is a, delayP
+// the running Erlang-B value and Servers the lane's index in lambdas.
+// Sorting by a descending makes the lanes still warming at step k a
+// prefix of out (lane i warms while k ≤ ⌊aᵢ⌋, that is while aᵢ ≥ k);
+// the index in Servers puts every lane back in place afterwards.
+//
+//cloudmedia:hotpath
+func sizeLanes(lambdas []float64, mu, target float64, maxServers int, out []MMm) int {
+	for i, lambda := range lambdas {
+		out[i] = MMm{Lambda: lambda, Mu: mu, Servers: i, offered: lambda / mu, delayP: 1}
+	}
+	slices.SortFunc(out, byOfferedDesc)
+	warming := len(out)
+	for k := 1; ; k++ {
+		kf := float64(k)
+		for warming > 0 && out[warming-1].offered < kf {
+			warming--
+		}
+		if warming == 0 {
+			break
+		}
+		if warming == 1 {
+			// The last lane's remaining steps form one dependent chain;
+			// running it in registers keeps a store and a reload off
+			// every step.
+			a, b := out[0].offered, out[0].delayP
+			for ; kf <= a; kf++ {
+				b = a * b / (kf + a*b)
+			}
+			out[0].delayP = b
+			break
+		}
+		for i := range out[:warming] {
+			a, b := out[i].offered, out[i].delayP
+			out[i].delayP = a * b / (kf + a*b) // B(k) from B(k−1), as in ErlangB
+		}
+	}
+	for i := range out {
+		for j := out[i].Servers; j != i; j = out[i].Servers {
+			out[i], out[j] = out[j], out[i]
+		}
+	}
+	for i := range out {
+		if !searchLane(&out[i], target, maxServers) {
+			return i
+		}
+	}
+	return -1
+}
+
+func byOfferedDesc(x, y MMm) int { return cmp.Compare(y.offered, x.offered) }
+
+// searchLane grows m from the smallest stable count, advancing the lane's
+// warmed Erlang-B value B(⌊a⌋) one step per candidate, and replaces the
+// lane's state with the first queue that meets target. It reports false
+// if none within maxServers does.
+//
+//cloudmedia:hotpath
+func searchLane(q *MMm, target float64, maxServers int) bool {
+	if q.Lambda == 0 {
+		// A single server serves the (nonexistent) load; sojourn is 1/µ.
+		// This is NewMMm(0, µ, 1).
+		*q = MMm{Lambda: 0, Mu: q.Mu, Servers: 1}
+		return true
+	}
+	a, b := q.offered, q.delayP
+	for m := int(math.Floor(a)) + 1; m <= maxServers; m++ {
 		mm := float64(m)
 		b = a * b / (mm + a*b) // B(m) from B(m−1), as in ErlangB
 		if a >= mm {
@@ -206,12 +327,13 @@ func MinServersForSojourn(lambda, mu, target float64, maxServers int) (MMm, erro
 		if a > 0 {
 			delayP = mm * b / (mm - a*(1-b))
 		}
-		q := MMm{Lambda: lambda, Mu: mu, Servers: m, offered: a, delayP: delayP}
-		if q.MeanSojourn() <= target {
-			return q, nil
+		c := MMm{Lambda: q.Lambda, Mu: q.Mu, Servers: m, offered: a, delayP: delayP}
+		if c.MeanSojourn() <= target {
+			*q = c
+			return true
 		}
 	}
-	return MMm{}, errNoServerCount(lambda, mu, target, maxServers)
+	return false
 }
 
 func errNoServerCount(lambda, mu, target float64, maxServers int) error {

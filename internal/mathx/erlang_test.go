@@ -296,3 +296,155 @@ func TestSojournMonotoneInServers(t *testing.T) {
 		}
 	}
 }
+
+// sameQueue reports whether two queues are bit-identical in every field.
+func sameQueue(x, y MMm) bool {
+	return x.Servers == y.Servers &&
+		math.Float64bits(x.Lambda) == math.Float64bits(y.Lambda) &&
+		math.Float64bits(x.Mu) == math.Float64bits(y.Mu) &&
+		math.Float64bits(x.offered) == math.Float64bits(y.offered) &&
+		math.Float64bits(x.delayP) == math.Float64bits(y.delayP)
+}
+
+// TestMinServersForSojournLanesBitIdentical pins the lockstep warm-up to
+// the from-scratch rule on ragged lane sets: idle lanes, a < 1, a one ulp
+// below and above an integer, a == maxServers, equal lanes and a single
+// lane. Every lane before the first failing one must carry the reference
+// queue bit for bit, and the call must name that lane with the error the
+// lane gets alone.
+func TestMinServersForSojournLanesBitIdentical(t *testing.T) {
+	below100 := math.Nextafter(100, 0)
+	laneSets := [][]float64{
+		{0.3, 0.999, 1, 7.5, 99.999, 1e4, 5e4},
+		{5e4, 0, 1e4, 0.3, 0, below100, 7.5, 100},
+		{math.Nextafter(3, 0), 3, math.Nextafter(3, 4), 0.5},
+		{1e4, 1e4, 1e4, 1e4},
+		{0, 0},
+		{7.5},
+		{1e4},
+		{},
+	}
+	for _, mu := range []float64{1.0 / 30, 1, 2.5} {
+		for _, slack := range []float64{1, 1.0001, 1.01, 1.5, 4} {
+			target := slack / mu
+			for _, maxServers := range []int{3, 100, 1000, 50100} {
+				if slack == 1 && maxServers > 1000 {
+					// E[T] = 1/µ is out of reach, so the reference would
+					// rebuild Erlang-B for every m up to the bound.
+					continue
+				}
+				for _, loads := range laneSets {
+					lambdas := make([]float64, len(loads))
+					for i, load := range loads {
+						lambdas[i] = load * mu
+					}
+					checkLanes(t, lambdas, mu, target, maxServers)
+				}
+			}
+		}
+	}
+}
+
+// checkLanes sizes lambdas in one lockstep call and compares it with the
+// from-scratch reference and the one-lane call, lane by lane in order.
+func checkLanes(t *testing.T, lambdas []float64, mu, target float64, maxServers int) {
+	t.Helper()
+	out := make([]MMm, len(lambdas))
+	lane, err := MinServersForSojournLanes(lambdas, mu, target, maxServers, out)
+	for i, lambda := range lambdas {
+		want, ok := minServersReference(lambda, mu, target, maxServers)
+		if !ok {
+			_, wantErr := MinServersForSojourn(lambda, mu, target, maxServers)
+			if err == nil || lane != i || wantErr == nil || err.Error() != wantErr.Error() {
+				t.Errorf("λ=%v µ=%v T=%v max=%d: lanes failed at %d with %v, want lane %d with %v",
+					lambdas, mu, target, maxServers, lane, err, i, wantErr)
+			}
+			return
+		}
+		if !sameQueue(out[i], want) {
+			t.Errorf("λ=%v µ=%v T=%v max=%d lane %d: got m=%d E[n]=%v C=%v E[T]=%v, want m=%d E[n]=%v C=%v E[T]=%v",
+				lambdas, mu, target, maxServers, i,
+				out[i].Servers, out[i].MeanJobs(), out[i].DelayProbability(), out[i].MeanSojourn(),
+				want.Servers, want.MeanJobs(), want.DelayProbability(), want.MeanSojourn())
+		}
+	}
+	if err != nil || lane != -1 {
+		t.Errorf("λ=%v µ=%v T=%v max=%d: lanes failed at %d with %v, reference sizes every lane",
+			lambdas, mu, target, maxServers, lane, err)
+	}
+}
+
+// TestMinServersForSojournLanesErrorOrder: a lane whose smallest stable
+// m exceeds the bound fails before any warm-up (a = 1e12 would otherwise
+// take hours), yet a lane before it whose search comes up short is still
+// the one reported.
+func TestMinServersForSojournLanesErrorOrder(t *testing.T) {
+	const mu, target, maxServers = 1.0, 1.0001, 100
+	tests := []struct {
+		name    string
+		lambdas []float64
+		lane    int
+	}{
+		{"huge load", []float64{7.5, 1e12, 50}, 1},
+		{"huge load first", []float64{1e12, 7.5}, 0},
+		{"search fails first", []float64{7.5, 99.999, 1e12}, 1},
+		{"bad input after huge load", []float64{1e12, math.NaN()}, 0},
+		{"negative rate", []float64{7.5, -1, 1e12}, 1},
+	}
+	for _, tc := range tests {
+		out := make([]MMm, len(tc.lambdas))
+		lane, err := MinServersForSojournLanes(tc.lambdas, mu, target, maxServers, out)
+		if err == nil || lane != tc.lane {
+			t.Errorf("%s: got lane %d err %v, want lane %d", tc.name, lane, err, tc.lane)
+			continue
+		}
+		if _, want := MinServersForSojourn(tc.lambdas[lane], mu, target, maxServers); want == nil || want.Error() != err.Error() {
+			t.Errorf("%s: err %q, want the lane's own error %v", tc.name, err, want)
+		}
+	}
+	if _, err := MinServersForSojournLanes([]float64{1, 2}, mu, target, maxServers, make([]MMm, 1)); err == nil {
+		t.Error("want an error when out is shorter than lambdas")
+	}
+}
+
+// FuzzMinServersForSojournLanes feeds arbitrary float bits into up to 8
+// lanes and requires the lockstep call to agree with one-lane calls made
+// in order: bit-equal queues up to the first failing lane, which it must
+// name with that lane's own error. The bound is capped at a few thousand
+// servers so every warm-up stays short.
+func FuzzMinServersForSojournLanes(f *testing.F) {
+	bits := math.Float64bits
+	f.Add(bits(1.0/30), bits(75), uint16(4095), uint8(8),
+		bits(0.3/30), bits(0), bits(3.0/30), bits(1), bits(40), bits(20), bits(1e12), bits(0.01))
+	f.Add(bits(1), bits(1.0001), uint16(100), uint8(3),
+		bits(99.999), bits(math.Nextafter(100, 0)), bits(100), bits(0), bits(0), bits(0), bits(0), bits(0))
+	f.Add(bits(2.5), bits(0.4), uint16(7), uint8(2),
+		bits(math.NaN()), bits(math.Inf(1)), bits(-1), bits(0), bits(0), bits(0), bits(0), bits(0))
+	f.Fuzz(func(t *testing.T, muBits, targetBits uint64, bound uint16, n uint8,
+		l0, l1, l2, l3, l4, l5, l6, l7 uint64) {
+		mu, target := math.Float64frombits(muBits), math.Float64frombits(targetBits)
+		maxServers := int(bound % 4096)
+		laneBits := []uint64{l0, l1, l2, l3, l4, l5, l6, l7}
+		lambdas := make([]float64, int(n)%(len(laneBits)+1))
+		for i := range lambdas {
+			lambdas[i] = math.Float64frombits(laneBits[i])
+		}
+		out := make([]MMm, len(lambdas))
+		lane, err := MinServersForSojournLanes(lambdas, mu, target, maxServers, out)
+		for i, lambda := range lambdas {
+			want, wantErr := MinServersForSojourn(lambda, mu, target, maxServers)
+			if wantErr != nil {
+				if err == nil || lane != i || err.Error() != wantErr.Error() {
+					t.Fatalf("lanes failed at %d with %v, want lane %d with %v", lane, err, i, wantErr)
+				}
+				return
+			}
+			if !sameQueue(out[i], want) {
+				t.Fatalf("lane %d: got %+v, want %+v", i, out[i], want)
+			}
+		}
+		if err != nil || lane != -1 {
+			t.Fatalf("lanes failed at %d with %v, every one-lane call succeeds", lane, err)
+		}
+	})
+}

@@ -207,18 +207,44 @@ func Solve(cfg Config, p TransferMatrix, lambda float64, maxServers int) (Equili
 		ViewerLoad:   make([]float64, cfg.Chunks),
 		Capacity:     make([]float64, cfg.Chunks),
 	}
+	// Every busy chunk is one lane of a single lockstep sizing call; idle
+	// chunks (λ=0) need no capacity and are skipped.
+	lanes := make([]float64, 0, len(rates))
+	for _, li := range rates {
+		if li != 0 {
+			lanes = append(lanes, li)
+		}
+	}
+	queues := make([]mathx.MMm, len(lanes))
+	if lane, err := mathx.MinServersForSojournLanes(lanes, mu, cfg.ChunkSeconds, maxServers, queues); err != nil {
+		return Equilibrium{}, fmt.Errorf("queueing: sizing chunk %d: %w", busyChunk(rates, lane), err)
+	}
+	lane := 0
 	for i, li := range rates {
 		if li == 0 {
-			continue // idle chunk: no capacity needed
+			continue
 		}
+		q := queues[lane]
+		lane++
 		eq.ViewerLoad[i] = li * cfg.ChunkSeconds
-		q, err := mathx.MinServersForSojourn(li, mu, cfg.ChunkSeconds, maxServers)
-		if err != nil {
-			return Equilibrium{}, fmt.Errorf("queueing: sizing chunk %d: %w", i, err)
-		}
 		eq.Servers[i] = q.Servers
 		eq.MeanUsers[i] = q.MeanJobs()
 		eq.Capacity[i] = cfg.SlotBandwidth() * float64(q.Servers)
 	}
 	return eq, nil
+}
+
+// busyChunk returns the index of the lane-th chunk with a non-zero
+// arrival rate: the chunk a sizing lane stands for.
+func busyChunk(rates []float64, lane int) int {
+	for i, li := range rates {
+		if li == 0 {
+			continue
+		}
+		if lane == 0 {
+			return i
+		}
+		lane--
+	}
+	return -1
 }

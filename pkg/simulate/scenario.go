@@ -138,6 +138,11 @@ func (sc Scenario) internal() (experiments.Scenario, error) {
 	if sc.err != nil {
 		return experiments.Scenario{}, fmt.Errorf("%w: %w", ErrInvalidScenario, sc.err)
 	}
+	for _, k := range sc.floatKnobs() {
+		if math.IsNaN(k.value) || math.IsInf(k.value, 0) {
+			return experiments.Scenario{}, fmt.Errorf("%w: non-finite %s %v", ErrInvalidScenario, k.name, k.value)
+		}
+	}
 	engineMode, static, err := modes.Engine(sc.Mode)
 	if err != nil {
 		return experiments.Scenario{}, fmt.Errorf("%w: %w", ErrInvalidScenario, err)
@@ -182,7 +187,7 @@ func (sc Scenario) internal() (experiments.Scenario, error) {
 	if c := sc.Serve.Clock; c != 0 && c != ClockReal && c != ClockSimulated {
 		return experiments.Scenario{}, fmt.Errorf("%w: invalid clock mode %d", ErrInvalidScenario, int(c))
 	}
-	if ts := sc.Serve.TimeScale; ts < 0 || math.IsNaN(ts) || math.IsInf(ts, 0) {
+	if ts := sc.Serve.TimeScale; ts < 0 {
 		return experiments.Scenario{}, fmt.Errorf("%w: invalid time scale %v", ErrInvalidScenario, ts)
 	}
 	if sc.Workers < 0 {
@@ -218,4 +223,65 @@ func (sc Scenario) internal() (experiments.Scenario, error) {
 		out.SampleSeconds = 900
 	}
 	return out, nil
+}
+
+// floatKnob is one float field of a scenario, named for error messages.
+type floatKnob struct {
+	name  string
+	value float64
+}
+
+// floatKnobs lists every float field a run reads from the scenario, its
+// channel, workload, pricing plan and catalogs, so internal can reject
+// NaN and ±Inf in one place: the range checks elsewhere are written as
+// x <= 0 or x < 0, which NaN passes.
+func (sc Scenario) floatKnobs() []floatKnob {
+	ch, wl, pr := sc.Channel, sc.Workload, sc.Pricing
+	knobs := []floatKnob{
+		{"duration (h)", sc.Hours},
+		{"provisioning interval (s)", sc.IntervalSeconds},
+		{"sampling period (s)", sc.SampleSeconds},
+		{"VM budget ($/h)", sc.VMBudget},
+		{"storage budget ($/h)", sc.StorageBudget},
+		{"uplink ratio", sc.UplinkRatio},
+		{"time scale", sc.Serve.TimeScale},
+		{"playback rate", ch.PlaybackRate},
+		{"chunk duration", ch.ChunkSeconds},
+		{"VM bandwidth", ch.VMBandwidth},
+		{"entry fraction", ch.EntryFirstChunk},
+		{"Zipf exponent", wl.ZipfExponent},
+		{"arrival rate", wl.BaseArrivalRate},
+		{"base level", wl.BaseLevel},
+		{"jump interval", wl.JumpMeanSeconds},
+		{"peer uplink lower bound", wl.PeerUplink.Lo},
+		{"peer uplink upper bound", wl.PeerUplink.Hi},
+		{"peer uplink shape", wl.PeerUplink.Shape},
+		{"on-demand rate", pr.OnDemandRate},
+		{"reserved fraction", pr.ReservedFraction},
+		{"reserved rate", pr.ReservedRate},
+		{"reservation term (h)", pr.TermHours},
+		{"upfront fraction", pr.UpfrontFraction},
+		{"storage rate", pr.StorageRate},
+		{"spot fraction", pr.SpotFraction},
+		{"spot rate", pr.SpotRate},
+		{"spot interruption probability", pr.SpotInterruption},
+	}
+	for _, fc := range wl.FlashCrowds {
+		knobs = append(knobs,
+			floatKnob{"flash-crowd peak hour", fc.PeakHour},
+			floatKnob{"flash-crowd width", fc.WidthHours},
+			floatKnob{"flash-crowd amplitude", fc.Amplitude})
+	}
+	for _, c := range sc.VMClusters {
+		knobs = append(knobs,
+			floatKnob{"VM cluster utility", c.Utility},
+			floatKnob{"VM cluster price", c.PricePerHour})
+	}
+	for _, c := range sc.NFSClusters {
+		knobs = append(knobs,
+			floatKnob{"NFS cluster utility", c.Utility},
+			floatKnob{"NFS cluster price", c.PricePerGBHour},
+			floatKnob{"NFS cluster capacity", c.CapacityGB})
+	}
+	return knobs
 }

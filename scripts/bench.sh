@@ -25,8 +25,9 @@ go test -run '^$' -bench 'BenchmarkFluidMillionViewers$|BenchmarkFluid10MViewers
     -benchtime 1x -count=3 . | tee -a "$TMP"
 
 # Solver benches are sub-millisecond: a single iteration is all warm-up
-# jitter, so give them enough rounds for a stable ns/op.
-go test -run '^$' -bench 'BenchmarkQueueingSolve$|BenchmarkP2PSolve$' \
+# jitter, so give them enough rounds for a stable ns/op. QueueingSolve100M
+# sizes a fluid-100m-scale channel, where the Erlang-B warm-up dominates.
+go test -run '^$' -bench 'BenchmarkQueueingSolve$|BenchmarkQueueingSolve100M$|BenchmarkP2PSolve$' \
     -benchtime 100x -count=3 . | tee -a "$TMP"
 
 # Hot-path micro benches: enough iterations for stable ns/op and the
